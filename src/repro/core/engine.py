@@ -618,14 +618,15 @@ class IncompleteDatabase:
         """The index that will serve ``query``; None means sequential scan.
 
         Covering indexes with a cost model (bitmaps, VA-files) compete on
-        estimated cost-model items (see :mod:`repro.core.planner`); if none
-        is costable, the paper-informed preference order
+        predicted nanoseconds from the calibrated cost model (see
+        :mod:`repro.core.planner`); if none is costable, the paper-informed
+        preference order
         BRE > BIE > BEE > VA-file > MOSAIC > R-tree > bitstring decides.
         """
         return self._plan(query, semantics)[0]
 
     def _plan(self, query: RangeQuery, semantics: MissingSemantics):
-        """The chosen index plus every costable plan, cheapest first."""
+        """The chosen index plus every costable plan, fastest first."""
         from repro.core.planner import rank_plans
 
         covering = [ix for ix in self._indexes.values() if ix.covers(query)]
@@ -645,20 +646,22 @@ class IncompleteDatabase:
     ) -> str:
         """Human-readable plan description for a query, with costs.
 
-        With ``analyze=True`` the query is actually executed (with tracing
-        on) and the rendered span tree — timings plus the counters each
-        access method recorded — is appended to the plan, in the spirit of
+        Every costed plan shows its paper-unit items beside its predicted
+        ns.  With ``analyze=True`` the query is actually executed (with
+        tracing on); the chosen plan's predicted vs measured ns and the
+        rendered span tree — timings plus the counters each access method
+        recorded — are appended to the plan, in the spirit of
         ``EXPLAIN ANALYZE``.
 
         ``semantics="both"`` explains the one-pass pair execution: costing
         runs under the possible bound (which dominates the pair's work)
         and the single chosen plan serves both bounds.
         """
-        from repro.core.planner import rank_plans, semantics_for_costing
+        from repro.core.planner import semantics_for_costing
 
         semantics = resolve_semantics(semantics)
         costing = semantics_for_costing(semantics)
-        chosen = self.choose_index(query, costing)
+        chosen, plans = self._plan(query, costing)
         lines = [
             f"query: {query!r}",
             f"semantics: {semantics.value}",
@@ -676,6 +679,7 @@ class IncompleteDatabase:
             lines.append(
                 f"estimated matches: {self.estimate_count(query, semantics)}"
             )
+        predicted = None
         if chosen is None:
             lines.append("plan: sequential scan (no covering index)")
         else:
@@ -686,16 +690,22 @@ class IncompleteDatabase:
                     for name, interval in query.items()
                 )
                 lines.append(f"bitvectors used: {total}")
-            covering = [ix for ix in self._indexes.values() if ix.covers(query)]
-            plans = rank_plans(covering, query, costing)
             for plan in plans:
-                marker = "->" if plan.index_name == chosen.name else "  "
+                marker = "  "
+                if plan.index_name == chosen.name:
+                    marker, predicted = "->", plan.predicted_ns
                 lines.append(
                     f"{marker} {plan.index_name} ({plan.kind}): "
-                    f"~{plan.items:,.0f} items ({plan.detail})"
+                    f"~{plan.items:,.0f} items, "
+                    f"~{plan.predicted_ns:,.0f} ns predicted ({plan.detail})"
                 )
         if analyze:
             report = self.execute(query, semantics, trace=True)
+            if predicted is not None:
+                lines.append(
+                    f"chosen plan: ~{predicted:,.0f} ns predicted, "
+                    f"{report.elapsed_ns:,} ns measured (traced)"
+                )
             lines.append("")
             lines.append(report.trace.format())
         return "\n".join(lines)
@@ -808,6 +818,9 @@ class IncompleteDatabase:
                     if estimate is not None:
                         plan_span.set(
                             "estimated_items", round(estimate.items)
+                        )
+                        plan_span.set(
+                            "predicted_ns", round(estimate.predicted_ns)
                         )
             name = chosen.name if chosen is not None else "<scan>"
             kind = chosen.kind if chosen is not None else "scan"
@@ -937,6 +950,9 @@ class IncompleteDatabase:
                     plan_span.set("semantics", "both")
                     if estimate is not None:
                         plan_span.set("estimated_items", round(estimate.items))
+                        plan_span.set(
+                            "predicted_ns", round(estimate.predicted_ns)
+                        )
             name = chosen.name if chosen is not None else "<scan>"
             kind = chosen.kind if chosen is not None else "scan"
             track = None

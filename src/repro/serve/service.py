@@ -28,9 +28,11 @@ Routes (JSON in/out unless noted):
 Read requests accept ``semantics`` (``"is_match"`` / ``"not_match"`` /
 ``"both"`` — the last returns the certain/possible answer pair, see
 ``docs/semantics.md``), ``using`` (force an index), ``limit`` (cap
-returned record ids), and ``deadline_ms`` (also settable via an
-``X-Deadline-Ms`` header).  ``/ranked`` additionally accepts
-``threshold`` (minimum match probability).
+returned record ids; a non-negative integer), and ``deadline_ms`` (a
+positive number, also settable via an ``X-Deadline-Ms`` header).
+``/ranked`` additionally accepts ``threshold`` (minimum match
+probability).  A malformed field is a **400** naming it.  Responses are
+compact JSON (no indentation, no key sorting).
 
 Admission control: at most ``max_inflight`` requests execute at once;
 up to ``queue_limit`` more wait their turn.  Beyond that the service
@@ -45,6 +47,7 @@ engine's own instrumentation.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -159,13 +162,33 @@ def _parse_predicate(node) -> Predicate:
     raise _Reject(400, f"unknown predicate operator {op!r}")
 
 
-def _ids_payload(record_ids: np.ndarray, limit) -> dict:
+def _parse_limit(value) -> int | None:
+    if value is None:
+        return None
+    if type(value) is not int or value < 0:  # bool is not a count
+        raise _Reject(
+            400, f"'limit' must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
+def _parse_deadline_ms(value, field: str) -> float:
+    try:
+        ms = float(value)
+    except (TypeError, ValueError):
+        raise _Reject(400, f"{field!r} must be a number, got {value!r}")
+    if not math.isfinite(ms) or ms <= 0:
+        raise _Reject(400, f"{field!r} must be positive, got {value!r}")
+    return ms
+
+
+def _ids_payload(record_ids: np.ndarray, limit: int | None) -> dict:
     matches = int(len(record_ids))
     if limit is not None:
-        record_ids = record_ids[: int(limit)]
+        record_ids = record_ids[:limit]
     return {
         "matches": matches,
-        "record_ids": [int(i) for i in record_ids],
+        "record_ids": record_ids.tolist(),
         "truncated": matches > len(record_ids),
     }
 
@@ -194,7 +217,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     def reply_json(self, payload: dict, status: int = 200) -> None:
         self.reply(
-            json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
+            json.dumps(payload, separators=(",", ":"), default=str) + "\n",
             "application/json; charset=utf-8",
             status=status,
         )
@@ -468,14 +491,16 @@ class QueryService:
 
     def _deadline(self, handler: _ServiceHandler, body: dict) -> float | None:
         ms = body.get("deadline_ms")
-        if ms is None:
+        if ms is not None:
+            ms = _parse_deadline_ms(ms, "deadline_ms")
+        else:
             header = handler.headers.get("X-Deadline-Ms")
-            ms = float(header) if header else self._default_deadline_ms
+            if header:
+                ms = _parse_deadline_ms(header, "X-Deadline-Ms")
+            else:
+                ms = self._default_deadline_ms
         if ms is None:
             return None
-        ms = float(ms)
-        if ms <= 0:
-            raise _Reject(400, f"deadline_ms must be positive, got {ms}")
         return time.monotonic() + ms / 1000.0
 
     def _introspect(self, path: str):
@@ -512,11 +537,11 @@ class QueryService:
         semantics = _parse_semantics(body.get("semantics"))
         both = semantics is BOTH
         using = body.get("using")
-        limit = body.get("limit")
+        limit = _parse_limit(body.get("limit"))
         with self.epochs.pin() as pin:
             db = pin.database
             if path == "/ranked":
-                return self._ranked(pin, db, body, using)
+                return self._ranked(pin, db, body, using, limit)
             if path == "/batch":
                 queries = body.get("queries")
                 if not isinstance(queries, list) or not queries:
@@ -588,19 +613,15 @@ class QueryService:
                     payload.update(_ids_payload(report.record_ids, limit))
             return payload
 
-    def _ranked(self, pin, db, body: dict, using) -> dict:
+    def _ranked(self, pin, db, body: dict, using, limit) -> dict:
         query = _parse_bounds(body)
         raw = body.get("threshold", 0.0)
         try:
             threshold = float(raw)
         except (TypeError, ValueError):
             raise _Reject(400, f"threshold must be a number, got {raw!r}")
-        limit = body.get("limit")
         report = db.execute_ranked(
-            query,
-            threshold=threshold,
-            limit=int(limit) if limit is not None else None,
-            using=using,
+            query, threshold=threshold, limit=limit, using=using
         )
         return {
             "epoch": pin.epoch,
@@ -608,7 +629,7 @@ class QueryService:
             "kind": report.kind,
             "matches": report.num_matches,
             "certain_matches": report.num_certain,
-            "record_ids": [int(i) for i in report.record_ids],
+            "record_ids": report.record_ids.tolist(),
             "probabilities": [
                 round(float(p), 6) for p in report.probabilities
             ],
@@ -630,7 +651,12 @@ class QueryService:
             ids = body.get("record_ids")
             if not isinstance(ids, list) or not ids:
                 raise _Reject(400, "body must carry 'record_ids': [int]")
-            epoch = self.writer.delete(int(i) for i in ids)
+            bad = [i for i in ids if type(i) is not int]
+            if bad:
+                raise _Reject(
+                    400, f"'record_ids' must be integers, got {bad[0]!r}"
+                )
+            epoch = self.writer.delete(ids)
         elif path == "/compact":
             epoch = self.writer.compact()
         elif path == "/create-index":

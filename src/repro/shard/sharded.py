@@ -1127,8 +1127,14 @@ class ShardedDatabase:
         self,
         query,
         semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+        analyze: bool = False,
     ) -> str:
-        """Human-readable sharded plan: merged costs plus pruning decisions."""
+        """Human-readable sharded plan: merged costs plus pruning decisions.
+
+        Each merged plan shows its summed paper-unit items and predicted
+        ns.  ``analyze=True`` also executes the query and appends the
+        chosen plan's predicted vs measured ns.
+        """
         query = self._normalize(query)
         semantics = resolve_semantics(semantics)
         costing = semantics_for_costing(semantics)
@@ -1142,13 +1148,17 @@ class ShardedDatabase:
             lines.append(
                 "  bounds: one plan, costed under is_match (superset bound)"
             )
+        predicted = None
         if merged:
-            lines.append("  merged plans (items summed over shards):")
+            lines.append("  merged plans (items and ns summed over shards):")
             for estimate in merged:
-                marker = "->" if estimate.index_name == chosen else "  "
+                marker = "  "
+                if estimate.index_name == chosen:
+                    marker, predicted = "->", estimate.predicted_ns
                 lines.append(
                     f"   {marker} {estimate.index_name} "
-                    f"({estimate.kind}): {estimate.items:,.0f} items "
+                    f"({estimate.kind}): {estimate.items:,.0f} items, "
+                    f"{estimate.predicted_ns:,.0f} ns predicted "
                     f"[{estimate.detail}]"
                 )
         elif chosen is not None:
@@ -1167,6 +1177,13 @@ class ShardedDatabase:
             f"  pruned shards: {pruned if pruned else '(none)'} "
             f"of {self.num_shards}"
         )
+        if analyze:
+            report = self.execute(query, semantics)
+            estimate = "n/a" if predicted is None else f"~{predicted:,.0f}"
+            lines.append(
+                f"  chosen plan: {estimate} ns predicted, "
+                f"{report.elapsed_ns:,} ns measured"
+            )
         return "\n".join(lines)
 
     # -- introspection ---------------------------------------------------------

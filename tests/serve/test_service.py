@@ -260,6 +260,88 @@ class TestErrors:
         assert status == 408
 
 
+class TestMalformedFields:
+    """A malformed request field is a 400 naming it, never a 500."""
+
+    @staticmethod
+    def _post_raw(url, payload, headers=None):
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json", **(headers or {})},
+            method="POST",
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=10) as response:
+                return response.status, response.read().decode("utf-8")
+        except urllib.error.HTTPError as err:
+            return err.code, err.read().decode("utf-8")
+
+    def _assert_400(self, service, route, payload, field, headers=None):
+        status, text = self._post_raw(service.url + route, payload, headers)
+        assert status == 400, text
+        assert field in json.loads(text)["error"]
+
+    def test_deadline_header_not_a_number(self, service):
+        self._assert_400(
+            service, "/query", {"bounds": {"a": [1, 2]}}, "X-Deadline-Ms",
+            headers={"X-Deadline-Ms": "soon"},
+        )
+
+    def test_deadline_field_not_a_number(self, service):
+        self._assert_400(
+            service, "/query",
+            {"bounds": {"a": [1, 2]}, "deadline_ms": "soon"}, "deadline_ms",
+        )
+
+    def test_limit_not_an_integer(self, service):
+        self._assert_400(
+            service, "/query", {"bounds": {"a": [1, 9]}, "limit": "ten"},
+            "limit",
+        )
+
+    def test_negative_limit(self, service):
+        # Used to slice off the last id and answer 200 "truncated".
+        self._assert_400(
+            service, "/query", {"bounds": {"a": [1, 9]}, "limit": -1},
+            "limit",
+        )
+
+    def test_ranked_limit_not_an_integer(self, service):
+        self._assert_400(
+            service, "/ranked", {"bounds": {"a": [1, 9]}, "limit": "ten"},
+            "limit",
+        )
+
+    def test_delete_ids_not_integers(self, service):
+        self._assert_400(
+            service, "/delete", {"record_ids": ["x"]}, "record_ids"
+        )
+        # Nothing was deleted: the epoch did not advance.
+        status, body = _post(service.url + "/query", {"bounds": {"a": [1, 9]}})
+        assert status == 200 and body["epoch"] == service.epochs.current_epoch
+
+    def test_zero_limit_is_valid(self, service):
+        status, body = _post(
+            service.url + "/query", {"bounds": {"a": [1, 9]}, "limit": 0}
+        )
+        assert status == 200
+        assert body["record_ids"] == [] and body["truncated"] is True
+
+
+class TestCompactResponses:
+    def test_json_is_compact_and_ids_are_plain_ints(self, service):
+        status, text = TestMalformedFields._post_raw(
+            service.url + "/query", {"bounds": {"a": [1, 9]}}
+        )
+        assert status == 200
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        assert ", " not in text and '": ' not in text
+        body = json.loads(text)
+        assert all(type(i) is int for i in body["record_ids"])
+        assert body["record_ids"] == sorted(body["record_ids"])
+
+
 class TestAdmission:
     def test_queue_full_is_429(self):
         release = threading.Event()

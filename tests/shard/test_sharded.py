@@ -160,6 +160,18 @@ def test_explain_mentions_pruning_and_plan(table):
         assert "pruned shards" in text
         assert "ix" in text
         assert "4" in text
+        assert "items" in text and "ns predicted" in text
+        assert "measured" not in text
+
+
+def test_explain_analyze_reports_predicted_vs_measured(table):
+    with make_sharded(table, num_shards=4) as db:
+        query = {"a": (2, 3)}
+        plain = db.explain(query)
+        analyzed = db.explain(query, analyze=True)
+        assert analyzed.startswith(plain)
+        assert "chosen plan:" in analyzed
+        assert "ns predicted" in analyzed and "ns measured" in analyzed
 
 
 def test_summary_includes_shards_and_cache(table):
