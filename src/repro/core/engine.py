@@ -265,6 +265,8 @@ class IncompleteDatabase:
         # so every access method (and the scan) stays correct without
         # per-index delete support.
         self._tombstones: np.ndarray | None = None
+        # Set by freeze() once a published snapshot may share this engine.
+        self._frozen = False
         forksafe.register(self._rwlock)
 
     @classmethod
@@ -324,6 +326,30 @@ class IncompleteDatabase:
         """The underlying table."""
         return self._table
 
+    def freeze(self) -> "IncompleteDatabase":
+        """Make this engine immutable; returns ``self``.
+
+        Queries (and cache fills) still work, but append/delete/compact and
+        index DDL raise :class:`~repro.errors.ReproError`.  The serving
+        layer freezes every shard engine of a published snapshot, because
+        later snapshots share the engines of shards a write did not touch.
+        """
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        """True once :meth:`freeze` has made this engine immutable."""
+        return self._frozen
+
+    def _ensure_mutable(self) -> None:
+        if self._frozen:
+            raise ReproError(
+                "this IncompleteDatabase is frozen (it may be shared by "
+                "published snapshots); build a new engine instead of "
+                "mutating it"
+            )
+
     @property
     def index_names(self) -> tuple[str, ...]:
         """Names of attached indexes, in attachment order."""
@@ -357,6 +383,7 @@ class IncompleteDatabase:
             Passed to the index constructor (e.g. ``codec="wah"`` for
             bitmaps, ``bits={...}`` for VA-files).
         """
+        self._ensure_mutable()
         if name in self._indexes and not overwrite:
             raise ReproError(
                 f"an index named {name!r} already exists "
@@ -398,6 +425,7 @@ class IncompleteDatabase:
         a loaded index file that covers the wrong number of rows would
         otherwise answer queries with silently wrong record ids.
         """
+        self._ensure_mutable()
         if name in self._indexes and not overwrite:
             raise ReproError(
                 f"an index named {name!r} already exists "
@@ -474,6 +502,7 @@ class IncompleteDatabase:
 
     def drop_index(self, name: str) -> None:
         """Detach an index by name, dropping its cached sub-results."""
+        self._ensure_mutable()
         if name not in self._indexes:
             raise ReproError(f"no index named {name!r}")
         with self._rwlock.write():
@@ -541,6 +570,7 @@ class IncompleteDatabase:
         is invalidated under the same lock that swaps the index set.
         Returns the number of rows appended.
         """
+        self._ensure_mutable()
         if not isinstance(rows, IncompleteTable):
             rows = IncompleteTable(
                 self._table.schema,
@@ -568,6 +598,7 @@ class IncompleteDatabase:
         :meth:`compact` reclaims them.  Ids out of range raise; deleting an
         already-deleted id is a no-op.
         """
+        self._ensure_mutable()
         ids = np.asarray(list(record_ids), dtype=np.int64)
         if ids.size == 0:
             return 0
@@ -597,6 +628,7 @@ class IncompleteDatabase:
         ``kept[i]`` is ``i``.  A no-op (identity mapping) when nothing is
         tombstoned.
         """
+        self._ensure_mutable()
         with self._rwlock.write():
             if self._tombstones is None or not self._tombstones.any():
                 self._tombstones = None

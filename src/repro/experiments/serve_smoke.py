@@ -13,6 +13,8 @@ validate:
 * the epoch lifecycle actually cycled: epochs were published, stale
   snapshots were garbage-collected (``gcs > 0``), and after the drain
   exactly one epoch remains retained with zero pins;
+* appends were copy-on-write: ``epoch.shards_carried`` shows each append
+  shared the untouched shards with the next epoch;
 * on disk, only the final committed generation directory survives, and
   the directory still passes :func:`~repro.storage.verify_sharded` — the
   crash-safety invariant (previous epoch loadable at every instant)
@@ -182,6 +184,16 @@ def serve_smoke_main() -> int:
                 thread.join()
 
             _check(not failures, f"non-200 responses: {failures[:5]}")
+            # Each append rebuilds one of the 3 shards and carries the
+            # other 2; a silent fall back to full rebuilds carries none.
+            carried = obs.get_registry().snapshot().counters.get(
+                "epoch.shards_carried", 0
+            )
+            _check(
+                carried >= 2 * _WRITER_ROUNDS,
+                f"appends carried {carried} shards into new epochs, "
+                f"expected at least {2 * _WRITER_ROUNDS} (copy-on-write)",
+            )
             expected_epochs = 3 * _WRITER_ROUNDS
             _check(
                 len(epochs) == expected_epochs and sorted(epochs) == epochs,

@@ -11,7 +11,8 @@ This package turns the library into a server (ROADMAP item 1):
 * :class:`~repro.serve.writer.SnapshotWriter` — serialized writer path:
   ``append`` / ``delete`` / ``compact`` / ``create_index`` /
   ``drop_index`` each build the next snapshot from the current one and
-  publish it atomically.
+  publish it atomically; ``append`` and ``delete`` rebuild only the
+  shards whose rows change and share the others' engines.
 * :class:`~repro.serve.service.QueryService` — a stdlib
   ``ThreadingHTTPServer`` front end exposing JSON endpoints for range /
   boolean / batch / count / explain queries (per-request semantics and

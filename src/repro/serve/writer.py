@@ -1,11 +1,20 @@
 """The serialized writer path: build the next snapshot, publish it.
 
 Writers never mutate a published snapshot — every operation here reads
-the current epoch's (frozen) database, builds a brand-new
+the current epoch's (frozen) database, builds a new
 :class:`~repro.shard.ShardedDatabase` with the mutation applied and the
 same shard/partitioner/executor/index configuration, and hands it to the
 :class:`~repro.serve.epoch.EpochManager`.  Readers holding a pin keep
 querying their epoch untouched; new readers see the new one.
+
+Row writes are copy-on-write per shard.  ``append`` and ``delete`` build a
+new engine only for the shards whose rows change; every other shard's
+frozen :class:`~repro.core.engine.IncompleteDatabase` (indexes,
+statistics, warm sub-result cache) is shared by reference with the next
+epoch, and :func:`~repro.shard.manifest.save_sharded` hard-links its files
+into the new generation instead of rewriting them.  Appended rows join the
+shard with the fewest rows, so shards stay within one batch of each other.
+``compact`` and index DDL rebuild every shard through the partitioner.
 
 Disk-backed writers persist through
 :func:`~repro.shard.manifest.save_sharded` with ``gc_stale=False`` — the
@@ -29,11 +38,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.core.engine import IncompleteDatabase
 from repro.dataset.table import IncompleteTable, concat_tables
 from repro.errors import QueryError, ReproError
-from repro.observability import observe
+from repro.observability import observe, record
 from repro.serve.epoch import EpochManager
 from repro.shard.manifest import MANIFEST_NAME, save_sharded
+from repro.shard.partition import ShardAssignment
 from repro.shard.sharded import ShardedDatabase
 
 __all__ = ["SnapshotWriter"]
@@ -63,6 +74,20 @@ class SnapshotWriter:
 
     # -- snapshot construction -------------------------------------------
 
+    @staticmethod
+    def _serving_options(current: ShardedDatabase) -> dict:
+        """Constructor options that make a new database serve like current."""
+        return {
+            "parallel": current._parallel,
+            "max_workers": (
+                current._max_workers
+                if current._max_workers_explicit
+                else None
+            ),
+            "cache_bytes": current._cache_bytes,
+            "executor": current.executor.name,
+        }
+
     def _build_next(
         self,
         table: IncompleteTable,
@@ -79,14 +104,7 @@ class SnapshotWriter:
             table,
             num_shards=min(current.num_shards, table.num_records),
             partitioner=current.partitioner_name,
-            parallel=current._parallel,
-            max_workers=(
-                current._max_workers
-                if current._max_workers_explicit
-                else None
-            ),
-            cache_bytes=current._cache_bytes,
-            executor=current.executor.name,
+            **self._serving_options(current),
         )
         meta = (
             index_meta if index_meta is not None else current._index_meta
@@ -97,8 +115,52 @@ class SnapshotWriter:
             )
         return db
 
+    def _shard_engine(
+        self, current: ShardedDatabase, table: IncompleteTable
+    ) -> IncompleteDatabase:
+        """A fresh shard engine over ``table`` with current's index set."""
+        engine = IncompleteDatabase(table, cache_bytes=current._cache_bytes)
+        for name, spec in current._index_meta.items():
+            engine.create_index(
+                name, spec.kind, spec.attributes, **spec.options
+            )
+        return engine
+
+    def _derive(
+        self,
+        current: ShardedDatabase,
+        table: IncompleteTable,
+        parts: list[tuple[np.ndarray, IncompleteDatabase]],
+    ) -> ShardedDatabase:
+        """A new database over ``table`` from per-shard (global ids, engine).
+
+        A shard whose engine is carried over from ``current`` also keeps
+        its committed files, so the next save hard-links them.
+        """
+        db = ShardedDatabase._restore(
+            table,
+            ShardAssignment(
+                partitioner=current.partitioner_name,
+                num_records=table.num_records,
+                shards=tuple(ids for ids, _ in parts),
+            ),
+            [engine for _, engine in parts],
+            index_meta=current._index_meta,
+            **self._serving_options(current),
+        )
+        for shard, before in zip(db.shards, current.shards):
+            if shard.database is before.database:
+                shard.files = before.files
+        return db
+
     def _publish(self, db: ShardedDatabase, start_ns: int) -> int:
         """Persist (when disk-backed) and publish; returns the new epoch."""
+        carried = sum(
+            shard.database is before.database
+            for shard, before in zip(
+                db.shards, self._manager.current_database.shards
+            )
+        )
         if self._directory is None:
             epoch = self._manager.publish(db)
         else:
@@ -114,6 +176,8 @@ class SnapshotWriter:
                 gen_dir=self._directory / f"gen-{generation:06d}",
                 epoch=generation,
             )
+        record("epoch.shards_carried", carried)
+        record("epoch.shards_rebuilt", db.num_shards - carried)
         observe("epoch.publish_ns", time.perf_counter_ns() - start_ns)
         return epoch
 
@@ -135,7 +199,27 @@ class SnapshotWriter:
                     {name: np.asarray(col) for name, col in rows.items()},
                 )
             table = concat_tables(current.table, rows)
-            return self._publish(self._build_next(table), start)
+            # The appended rows join the smallest shard (the last of equals)
+            # and take the next global ids, so its ids stay ascending.
+            target = min(
+                current.shards,
+                key=lambda s: (len(s.global_ids), -s.shard_id),
+            )
+            added = np.arange(
+                current.num_records, table.num_records, dtype=np.int64
+            )
+            parts = [
+                (
+                    np.concatenate([shard.global_ids, added]),
+                    self._shard_engine(
+                        current, concat_tables(shard.database.table, rows)
+                    ),
+                )
+                if shard is target
+                else (shard.global_ids, shard.database)
+                for shard in current.shards
+            ]
+            return self._publish(self._derive(current, table, parts), start)
 
     def delete(self, record_ids: Iterable[int]) -> int:
         """Remove rows by record id in a new epoch; returns the epoch.
@@ -144,6 +228,8 @@ class SnapshotWriter:
         id of a surviving row shifts down past each removed predecessor),
         matching what the engine's ``compact`` does after a tombstone
         delete.  Readers pinned to older epochs keep the old numbering.
+        Only shards owning a deleted id are rebuilt; a delete that would
+        empty a shard rebuilds every shard instead.
         """
         with self._mutex:
             start = time.perf_counter_ns()
@@ -161,7 +247,22 @@ class SnapshotWriter:
                 assume_unique=True,
             )
             table = current.table.take(keep)
-            return self._publish(self._build_next(table), start)
+            parts = []
+            for shard in current.shards:
+                alive = ~np.isin(shard.global_ids, ids, assume_unique=True)
+                if not alive.any():
+                    return self._publish(self._build_next(table), start)
+                survivors = shard.global_ids[alive]
+                # A survivor's new id drops by the deleted ids below it.
+                renumbered = survivors - np.searchsorted(ids, survivors)
+                if alive.all():
+                    parts.append((renumbered, shard.database))
+                else:
+                    local = shard.database.table.take(np.flatnonzero(alive))
+                    parts.append(
+                        (renumbered, self._shard_engine(current, local))
+                    )
+            return self._publish(self._derive(current, table, parts), start)
 
     def compact(self) -> int:
         """Rewrite the current state into a fresh epoch (and generation).

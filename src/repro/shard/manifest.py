@@ -26,6 +26,11 @@ Crash safety and integrity (see ``docs/persistence.md``):
 * every file is written through the checksummed ``RPF1`` frame and its
   whole-file CRC32 and size are **recorded in the manifest**, which also
   carries a checksum over its own canonical JSON (``self_crc32``);
+* a shard whose engine a committed generation of the same root already
+  holds (the serving layer's copy-on-write writes share untouched shard
+  engines between epochs) has its table and index files hard-linked into
+  the new generation, their recorded CRC32 and size copied, not
+  recomputed; only its small row-map file is rewritten;
 * saving over an existing sharded directory requires ``overwrite=True`` —
   refusing beats silently mixing shard files from two different saves;
 * loading degrades gracefully: a corrupt or missing *index* file is
@@ -49,11 +54,13 @@ import json
 import os
 import shutil
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.cache import DEFAULT_CACHE_BYTES
+from repro.core.engine import IncompleteDatabase
 from repro.dataset.io import load_table, save_table
 from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.table import IncompleteTable
@@ -154,6 +161,66 @@ def _index_options(attached) -> dict:
     }
 
 
+def _index_generation(attached) -> int:
+    return int(getattr(attached.index, "generation", 0) or 0)
+
+
+@dataclass(frozen=True)
+class _CommittedFiles:
+    """The committed files one shard engine was last saved to or loaded from.
+
+    The table and each index are paired with the manifest record of their
+    file, so a later save carries a file only while the engine still holds
+    that very object (and, for a bitmap index, at the same ``generation``,
+    which in-place index mutations bump).
+    """
+
+    root: Path
+    table: IncompleteTable
+    table_file: dict
+    #: index name -> (attached index, its generation, file record)
+    indexes: dict[str, tuple[object, int, dict]]
+
+    def table_source(self, table: IncompleteTable) -> dict | None:
+        return self.table_file if table is self.table else None
+
+    def index_source(self, attached) -> dict | None:
+        source = self.indexes.get(attached.name)
+        if (
+            source is None
+            or source[0] is not attached
+            or source[1] != _index_generation(attached)
+        ):
+            return None
+        return source[2]
+
+
+def _carry_or_write(
+    root: Path, source: dict | None, relative: str, write
+) -> dict:
+    """Put a file at ``relative`` and return its manifest record.
+
+    With a committed ``source`` record the file is hard-linked and the
+    record's ``crc32``/``bytes`` are copied, never recomputed, so a carried
+    file damaged in place still fails its checksum in every generation
+    that links it.  Otherwise (or if linking fails) ``write(path)`` writes
+    it and the record is computed from the new file.
+    """
+    if source is not None and integrity.carry_file(
+        root / source["path"], root / relative
+    ):
+        return dict(source, path=relative)
+    write(root / relative)
+    return _file_record(root, relative)
+
+
+def _save_index(attached, path: Path) -> None:
+    if attached.kind in _BITMAP_KINDS:
+        save_bitmap_index(attached.index, path)
+    else:
+        save_vafile(attached.index, path)
+
+
 def save_sharded(
     db: ShardedDatabase,
     directory: str | os.PathLike,
@@ -178,6 +245,12 @@ def save_sharded(
     files in an older generation, so stale generations are garbage-collected
     only when their pin count drops to zero (orphans stay benign to both
     ``fsck`` and :func:`load_sharded`).
+
+    A shard whose engine still holds the table and index objects it was
+    saved to or loaded from in a committed generation of the same
+    ``directory`` has those files hard-linked into the new generation
+    (with their committed CRC32 and size) instead of re-encoded; if
+    linking fails the file is written normally.
     """
     root = Path(directory)
     for name in db.index_names:
@@ -202,38 +275,59 @@ def save_sharded(
     )
     gen_rel = _generation_dir(generation)
     root.mkdir(parents=True, exist_ok=True)
+    root_key = root.resolve()
     shard_entries = []
+    saved: list[_CommittedFiles] = []
     for shard in db.shards:
-        subdir = root / gen_rel / _shard_dir(shard.shard_id)
-        subdir.mkdir(parents=True, exist_ok=True)
-        rows_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}/rows.npy"
-        table_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}/table.npz"
-        buffer = io.BytesIO()
-        np.save(buffer, shard.global_ids.astype(np.int64))
-        integrity.write_framed(root / rows_rel, [("rows", buffer.getvalue())])
-        save_table(shard.database.table, root / table_rel)
+        engine = shard.database
+        committed = shard.files
+        if committed is not None and committed.root != root_key:
+            committed = None
+        shard_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}"
+        (root / shard_rel).mkdir(parents=True, exist_ok=True)
+        # Files that a committed generation of this root already holds for
+        # this engine are hard-linked, not re-encoded.  Links come before
+        # the row-map write, whose directory fsync makes them durable too.
+        table_record = _carry_or_write(
+            root,
+            committed and committed.table_source(engine.table),
+            f"{shard_rel}/table.npz",
+            lambda path: save_table(engine.table, path),
+        )
         index_entries = []
+        index_files = {}
         for name in db.index_names:
-            attached = shard.database.get_index(name)
-            index_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}/{name}.idx"
-            if attached.kind in _BITMAP_KINDS:
-                save_bitmap_index(attached.index, root / index_rel)
-            else:
-                save_vafile(attached.index, root / index_rel)
+            attached = engine.get_index(name)
+            file_entry = _carry_or_write(
+                root,
+                committed and committed.index_source(attached),
+                f"{shard_rel}/{name}.idx",
+                lambda path: _save_index(attached, path),
+            )
+            index_files[name] = (
+                attached, _index_generation(attached), file_entry
+            )
             index_entries.append({
                 "name": name,
                 "kind": attached.kind,
                 "attributes": list(attached.attributes),
                 "options": _index_options(attached),
-                "file": _file_record(root, index_rel),
+                "file": file_entry,
             })
+        rows_rel = f"{shard_rel}/rows.npy"
+        buffer = io.BytesIO()
+        np.save(buffer, shard.global_ids.astype(np.int64))
+        integrity.write_framed(root / rows_rel, [("rows", buffer.getvalue())])
         shard_entries.append({
             "shard_id": shard.shard_id,
-            "num_records": shard.database.table.num_records,
+            "num_records": engine.table.num_records,
             "rows": _file_record(root, rows_rel),
-            "table": _file_record(root, table_rel),
+            "table": table_record,
             "indexes": index_entries,
         })
+        saved.append(
+            _CommittedFiles(root_key, engine.table, table_record, index_files)
+        )
     manifest = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -250,9 +344,14 @@ def save_sharded(
     integrity.atomic_write(
         manifest_path, manifest_text(manifest).encode("utf-8")
     )
-    # Commit point passed: the new manifest is durable.  Clearing stale
-    # generations (and pre-generation shard-* layouts) is best-effort —
-    # a crash here leaves orphans that fsck reports and load ignores.
+    # Commit point passed: the new manifest is durable, so its files may
+    # now be carried into the next generation (recording this only now
+    # keeps a crashed save's directory from ever being a link source).
+    # Clearing stale generations (and pre-generation shard-* layouts) is
+    # best-effort — a crash here leaves orphans that fsck reports and load
+    # ignores.
+    for shard, files in zip(db.shards, saved):
+        shard.files = files
     if gc_stale:
         for entry in _owned_entries(root):
             if entry.name != gen_rel:
@@ -478,7 +577,10 @@ def load_sharded(
     db = ShardedDatabase._restore(
         table,
         assignment,
-        shard_tables,
+        [
+            IncompleteDatabase(shard_table, cache_bytes=cache_bytes)
+            for shard_table in shard_tables
+        ],
         parallel=parallel,
         max_workers=max_workers,
         cache_bytes=cache_bytes,
@@ -491,8 +593,12 @@ def load_sharded(
         }
         for entry in entries
     }
+    root_key = root.resolve()
     for entry in entries:
         shard = db.shards[entry["shard_id"]]
+        carried = _CommittedFiles(
+            root_key, shard.database.table, entry["table"], {}
+        )
         for index_entry in entry["indexes"]:
             kind = index_entry["kind"]
             if kind not in _BITMAP_KINDS and kind != "vafile":
@@ -525,7 +631,7 @@ def load_sharded(
                     **index_entry.get("options", {}),
                 )
                 continue
-            shard.database.attach_index(
+            attached = shard.database.attach_index(
                 index_entry["name"],
                 kind,
                 index,
@@ -535,6 +641,14 @@ def load_sharded(
             storage[entry["shard_id"]]["indexes"][index_entry["name"]] = (
                 str(path)
             )
+            carried.indexes[index_entry["name"]] = (
+                attached, _index_generation(attached), index_entry["file"]
+            )
+        # Only checksummed (v2) files can be carried: a carried file keeps
+        # the CRC the manifest recorded for it.  A rebuilt index has no
+        # trustworthy file and is never carried.
+        if manifest["version"] >= 2:
+            shard.files = carried
     db._storage = storage
     for entry in entries[:1]:
         for index_entry in entry["indexes"]:

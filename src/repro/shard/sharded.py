@@ -189,7 +189,7 @@ class ShardedThreeValuedReport:
 class _Shard:
     """One shard: its global row ids and the database over its row slice."""
 
-    __slots__ = ("shard_id", "global_ids", "database")
+    __slots__ = ("shard_id", "global_ids", "database", "files")
 
     def __init__(
         self,
@@ -200,6 +200,10 @@ class _Shard:
         self.shard_id = shard_id
         self.global_ids = global_ids
         self.database = database
+        #: Where a committed save generation holds this shard's table and
+        #: index files (set by :mod:`repro.shard.manifest` after a commit or
+        #: a load); the next save of the same engine hard-links them.
+        self.files = None
 
     def to_global(self, local_ids: np.ndarray) -> np.ndarray:
         """Map shard-local record ids back to global ids."""
@@ -260,25 +264,33 @@ class ShardedDatabase:
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
     ):
-        self._table = table
-        self._partitioner = get_partitioner(partitioner)
-        self._assignment = self._partitioner.partition(table, num_shards)
-        self._init_common(
+        assignment = get_partitioner(partitioner).partition(table, num_shards)
+        self._assemble(
+            table,
+            assignment,
+            [
+                IncompleteDatabase(table.take(ids), cache_bytes=cache_bytes)
+                for ids in assignment.shards
+            ],
             parallel, max_workers, cache_bytes, executor,
-            self._assignment.num_shards,
         )
-        self._shards: list[_Shard] = [
-            _Shard(
-                shard_id,
-                ids,
-                IncompleteDatabase(table.take(ids), cache_bytes=cache_bytes),
-            )
-            for shard_id, ids in enumerate(self._assignment.shards)
-        ]
 
-    def _init_common(
-        self, parallel, max_workers, cache_bytes, executor, num_shards
+    def _assemble(
+        self, table, assignment, engines,
+        parallel, max_workers, cache_bytes, executor,
     ) -> None:
+        """Install the shards and the fan-out state.
+
+        ``engines[s]`` serves the global rows ``assignment.shards[s]``.
+        """
+        self._table = table
+        self._assignment = assignment
+        self._shards: list[_Shard] = [
+            _Shard(shard_id, ids, engine)
+            for shard_id, (ids, engine) in enumerate(
+                zip(assignment.shards, engines)
+            )
+        ]
         if max_workers is not None and max_workers < 1:
             # `max_workers or default` used to swallow 0 silently and run
             # with the default pool size; reject it loudly instead.
@@ -288,7 +300,7 @@ class ShardedDatabase:
         self._max_workers = (
             max_workers
             if max_workers is not None
-            else min(num_shards, 32)
+            else min(assignment.num_shards, 32)
         )
         self._cache_bytes = cache_bytes
         #: Whole-table statistics, built lazily for the ranked answer mode.
@@ -319,36 +331,31 @@ class ShardedDatabase:
         cls,
         table: IncompleteTable,
         assignment,
-        shard_tables,
+        engines,
         parallel: bool = True,
         max_workers: int | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
+        index_meta: dict[str, _IndexMeta] | None = None,
     ) -> "ShardedDatabase":
-        """Rebuild from a persisted assignment (see :mod:`repro.shard.manifest`).
+        """Assemble a database from per-shard engines built elsewhere.
 
-        ``shard_tables`` are the per-shard tables exactly as serialized —
-        using them instead of re-slicing keeps loaded indexes aligned with
-        the rows they were built over.
+        ``engines[s]`` serves the rows ``assignment.shards[s]`` in that
+        order.  The manifest loader passes engines over the shard tables
+        exactly as serialized (so loaded indexes stay aligned with their
+        rows); the serving layer's writer passes the previous snapshot's
+        engines for shards a write did not touch.  ``index_meta`` is the
+        shard-level index catalog when the engines already carry their
+        indexes.
         """
         self = cls.__new__(cls)
-        self._table = table
-        self._partitioner = None
-        self._assignment = assignment
-        self._init_common(
+        self._assemble(
+            table, assignment, engines,
             parallel, max_workers, cache_bytes, executor,
-            assignment.num_shards,
         )
-        self._shards = [
-            _Shard(
-                shard_id,
-                ids,
-                IncompleteDatabase(shard_table, cache_bytes=cache_bytes),
-            )
-            for shard_id, (ids, shard_table) in enumerate(
-                zip(assignment.shards, shard_tables)
-            )
-        ]
+        if index_meta:
+            self._index_meta = dict(index_meta)
+            self._index_epoch += 1
         return self
 
     # -- lifecycle -------------------------------------------------------------
@@ -416,11 +423,14 @@ class ShardedDatabase:
 
         A frozen database still answers every query (and its caches still
         fill), but index DDL raises :class:`~repro.errors.ShardError`.
-        The serving layer freezes each database before publishing it as an
-        epoch, so nothing can mutate state a pinned reader depends on —
-        writers build a *new* database and publish that instead.
+        Every shard engine is frozen too, since the next snapshot may share
+        it.  The serving layer freezes each database before publishing it
+        as an epoch, so nothing can mutate state a pinned reader depends
+        on — writers build a *new* database and publish that instead.
         """
         self._frozen = True
+        for shard in self._shards:
+            shard.database.freeze()
         return self
 
     @property

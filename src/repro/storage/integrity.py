@@ -6,6 +6,8 @@ Every persistent artifact this library writes — ``RPIX`` index files,
 * :func:`atomic_write` — write-to-temp + ``fsync`` + ``os.replace`` in the
   destination directory, so a crash at any instant leaves either the old
   complete file or the new complete file, never a torn one;
+* :func:`carry_file` — hard-link an already committed (immutable) file
+  under a new name, so a new save can reuse it without rewriting it;
 * the ``RPF1`` *frame* — a sectioned container whose header records, for
   every section, a label, the payload length, and a CRC32, plus a CRC32
   over the header/directory itself.  Every byte of a framed file is covered
@@ -41,6 +43,7 @@ __all__ = [
     "FRAME_VERSION",
     "atomic_write",
     "build_frame",
+    "carry_file",
     "crc32",
     "file_crc32",
     "is_framed",
@@ -101,6 +104,22 @@ def atomic_write(path: str | os.PathLike, data: bytes) -> int:
     record("storage.bytes_written", len(data))
     record("storage.atomic_renames")
     return len(data)
+
+
+def carry_file(source: str | os.PathLike, target: str | os.PathLike) -> bool:
+    """Hard-link ``source`` as ``target``; False if the link cannot be made.
+
+    The link is atomic: ``target`` either appears with ``source``'s bytes or
+    not at all.  On ``False`` nothing was created and the caller writes the
+    file the normal way (e.g. a filesystem without hard links).  Making the
+    new directory entry durable is left to the caller's next
+    :func:`atomic_write` into the same directory, which fsyncs it.
+    """
+    try:
+        os.link(source, target)
+    except OSError:
+        return False
+    return True
 
 
 def _fsync_directory(directory: Path) -> None:

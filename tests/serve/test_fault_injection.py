@@ -1,7 +1,9 @@
 """Crash-during-publish: the previous epoch stays loadable and served.
 
 Extends the storage fault-injection protocol (crash ``atomic_write`` at
-every single step) to the serving layer's publish path: a
+every single step) to the serving layer's publish path, where a step is
+either an ``atomic_write`` or a ``carry_file`` (the hard link that carries
+an untouched shard's committed file into the new generation): a
 :class:`SnapshotWriter` mutation that dies anywhere inside
 ``save_sharded`` must leave the previous epoch (a) still the manager's
 current, still answering queries, (b) the state ``load_sharded`` gets
@@ -37,27 +39,35 @@ def _results(db):
     ]
 
 
+def _patch_steps(monkeypatch, hook):
+    """Route every publish step (write or carry) through ``hook`` first."""
+    for name in ("atomic_write", "carry_file"):
+        real = getattr(integrity, name)
+
+        def step(*args, _real=real):
+            hook()
+            return _real(*args)
+
+        monkeypatch.setattr(integrity, name, step)
+
+
 def _crash_at(monkeypatch, step):
     calls = {"n": 0}
-    real = integrity.atomic_write
 
-    def failing(path, data):
+    def hook():
         if calls["n"] == step:
             raise OSError("simulated crash")
         calls["n"] += 1
-        return real(path, data)
 
-    monkeypatch.setattr(integrity, "atomic_write", failing)
+    _patch_steps(monkeypatch, hook)
 
 
 def _count_publish_writes(monkeypatch, tmp_path):
-    """How many atomic writes one append-publish performs."""
+    """How many steps (atomic writes and carries) one append-publish takes."""
     calls = {"n": 0}
-    real = integrity.atomic_write
 
-    def counting(path, data):
+    def hook():
         calls["n"] += 1
-        return real(path, data)
 
     scratch = tmp_path / "count"
     with ShardedDatabase(_table(), num_shards=2) as db:
@@ -65,7 +75,7 @@ def _count_publish_writes(monkeypatch, tmp_path):
         save_sharded(db, scratch)
     manager = EpochManager(load_sharded(scratch), scratch)
     writer = SnapshotWriter(manager, scratch)
-    monkeypatch.setattr(integrity, "atomic_write", counting)
+    _patch_steps(monkeypatch, hook)
     writer.append({"a": [1], "b": [1]})
     monkeypatch.undo()
     manager.close()
@@ -76,7 +86,9 @@ def test_crash_at_every_publish_step_preserves_previous_epoch(
     tmp_path, monkeypatch
 ):
     total_writes = _count_publish_writes(monkeypatch, tmp_path)
-    assert total_writes > 4  # rows/table/index per shard + manifest
+    # rows/table/index per shard (written, or carried for the untouched
+    # shard) + manifest
+    assert total_writes > 4
 
     root = tmp_path / "db"
     with ShardedDatabase(_table(), num_shards=2) as db:
